@@ -429,7 +429,8 @@ TEST_F(ObsTest, TracedFlowCoversAllPhasesAndExportsCongestionCsv) {
   }
   EXPECT_EQ(rows, static_cast<std::size_t>(map.ny()));
   EXPECT_EQ(commas, static_cast<std::size_t>(map.ny()) * (map.nx() - 1));
-  EXPECT_EQ(run.metrics.threads_used, 1u);
+  // num_threads=0: a lone run gets hardware_threads() (flow.hpp num_threads doc); 1 iff that is 1.
+  EXPECT_EQ(run.metrics.threads_used, ThreadPool::hardware_threads());
   debug_check_phase_accounting(run.metrics);
 }
 
